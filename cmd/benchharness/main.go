@@ -178,7 +178,7 @@ func main() {
 			}
 			return res.Format(), nil
 		})},
-		{"serving", "E18 (extension) / §2 — prediction serving gateway, micro-batching ablation", func() (string, []benchfmt.Metric, error) {
+		{"serving", "E18 (extension) / §2 — prediction serving gateway, hot swap under load", func() (string, []benchfmt.Metric, error) {
 			res, err := experiments.ServingGateway(8, 5000)
 			if err != nil {
 				return "", nil, err

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	galleryserve -addr :8441 -gallery http://localhost:8440
-//	galleryserve -addr :8441 -gallery http://localhost:8440 -batch 32
 //	galleryserve -addr :8441 -auth -token-file tokens.json -token gal_...  # multi-tenant
 //
 // Predictions:
@@ -37,6 +36,7 @@ import (
 
 	"gallery/internal/client"
 	"gallery/internal/forecast"
+	"gallery/internal/obs"
 	obslog "gallery/internal/obs/log"
 	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
@@ -51,8 +51,6 @@ func main() {
 		gallery   = flag.String("gallery", "http://localhost:8440", "galleryd base URL")
 		refresh   = flag.Duration("refresh", 5*time.Second, "production-pointer poll interval")
 		maxModels = flag.Int("max-models", 64, "LRU bound on concurrently loaded models")
-		batch     = flag.Int("batch", 0, "micro-batch size (0 disables batching)")
-		batchWait = flag.Duration("batch-wait", 0, "max linger for a partially filled batch (0 = adaptive drain-only)")
 		preload   = flag.String("preload", "", "comma-separated model IDs to load at startup")
 		name      = flag.String("name", "gateway", "gateway name stamped on flushed health observations")
 		healthInt = flag.Duration("health-flush", 15*time.Second, "health observation flush period (negative disables health reporting)")
@@ -83,9 +81,12 @@ func main() {
 		log.Fatalf("galleryserve: %v", err)
 	}
 	// Kept traces ship to galleryd's trace buffer, so a predict request
-	// reads as ONE trace spanning both processes there.
-	exporter := trace.NewHTTPExporter(*gallery+"/v1/debug/traces", nil)
+	// reads as ONE trace spanning both processes there. The exporter
+	// presents -token like every other call to galleryd: under -auth the
+	// ingest route is publisher-class.
+	exporter := trace.NewHTTPExporter(*gallery+"/v1/debug/traces", *token, nil)
 	defer exporter.Close()
+	exporter.Expose(obs.Default)
 	tracer := trace.New(trace.Options{
 		Service:  "galleryserve",
 		Sampler:  sampler,
@@ -98,8 +99,6 @@ func main() {
 		Name:            *name,
 		MaxModels:       *maxModels,
 		RefreshInterval: *refresh,
-		MaxBatch:        *batch,
-		BatchWait:       *batchWait,
 		Tracer:          tracer,
 		// Hot swaps land on galleryd's lifecycle audit trail next to the
 		// promotions that caused them.
@@ -134,11 +133,12 @@ func main() {
 	}
 
 	// Continuous profiling: window summaries ship to galleryd's fleet store
-	// (the trace-export pattern) so GET /v1/debug/profile there covers both
-	// tiers; the local ring serves the same path here and rides incident
-	// bundle pulls.
+	// (through the same shipper as traces) so GET /v1/debug/profile there
+	// covers both tiers; the local ring serves the same path here and
+	// rides incident bundle pulls.
 	profExporter := profile.NewHTTPExporter(*gallery+"/v1/debug/profile", *token, nil)
 	defer profExporter.Close()
+	profExporter.Expose(obs.Default)
 	var detector *profile.Detector
 	if *profBaseline != "" {
 		base, err := profile.LoadBaseline(*profBaseline)
@@ -205,8 +205,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: h}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v batch=%d)\n",
-		*addr, *gallery, *refresh, *batch)
+	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v)\n",
+		*addr, *gallery, *refresh)
 
 	waitForShutdown(httpSrv, errCh)
 }

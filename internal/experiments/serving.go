@@ -49,60 +49,41 @@ func (s regSource) FetchBlob(instanceID string) ([]byte, error) {
 	return s.reg.FetchBlob(id)
 }
 
-// ServingArm is one row of the batching ablation.
-type ServingArm struct {
-	Name        string
-	MaxBatch    int
+// ServingResult is the serving-gateway experiment outcome: a prediction
+// storm answered by a promoted LinearAR instance, with a promotion
+// landing mid-storm.
+type ServingResult struct {
+	Clients     int
+	PerClient   int
 	Predictions int
-	Elapsed     time.Duration
+	Elapsed     time.Duration // fastest storm round
 	QPS         float64
-	Failed      int64
 	// Single-client measurement round: request latency quantiles and the
 	// exact allocation count per prediction.
 	P50         time.Duration
 	P99         time.Duration
 	AllocsPerOp float64
-}
-
-// ServingResult is the serving-gateway experiment outcome: the same
-// prediction storm answered by the same promoted LinearAR instance with
-// micro-batching off and on, plus a hot swap under fire in each arm.
-type ServingResult struct {
-	Clients   int
-	PerClient int
-	Arms      []ServingArm
 	// SwapServed reports that after the mid-storm promotion, predictions
-	// came from the new instance in both arms.
+	// came from the new instance.
 	SwapServed bool
 }
 
-// Speedup is batched QPS over unbatched QPS.
-func (r *ServingResult) Speedup() float64 {
-	if len(r.Arms) < 2 || r.Arms[0].QPS == 0 {
-		return 0
-	}
-	return r.Arms[1].QPS / r.Arms[0].QPS
-}
-
-// Format renders the ablation as paper-style rows.
+// Format renders the experiment as paper-style rows.
 func (r *ServingResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "prediction storm: %d clients x %d predictions, LinearAR production instance, hot swap mid-storm\n",
 		r.Clients, r.PerClient)
-	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "  %-14s %8d predictions in %8.1fms  %10.0f qps  p50=%v p99=%v allocs/op=%.1f failed=%d\n",
-			a.Name, a.Predictions, float64(a.Elapsed.Microseconds())/1000, a.QPS,
-			a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond), a.AllocsPerOp, a.Failed)
-	}
-	fmt.Fprintf(&b, "  batched/unbatched throughput: %.2fx; swap served new instance in both arms: %v\n",
-		r.Speedup(), r.SwapServed)
+	fmt.Fprintf(&b, "  %8d predictions in %8.1fms  %10.0f qps  p50=%v p99=%v allocs/op=%.1f\n",
+		r.Predictions, float64(r.Elapsed.Microseconds())/1000, r.QPS,
+		r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.AllocsPerOp)
+	fmt.Fprintf(&b, "  swap served new instance: %v\n", r.SwapServed)
 	return b.String()
 }
 
-// ServingGateway runs the serving-tier ablation: batching off vs on under
-// concurrent load, with a promotion landing mid-storm in each arm. A run
-// with failed predictions or a swap that never reaches traffic is an
-// experiment failure.
+// ServingGateway runs the serving-tier experiment: concurrent prediction
+// load with a promotion landing mid-storm. A run with failed predictions
+// is an experiment failure; a swap that never reaches traffic reads as
+// SwapServed=false.
 func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	env, err := NewEnv(31)
 	if err != nil {
@@ -116,11 +97,8 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	}
 
 	// One trained LinearAR champion and one challenger for the mid-storm
-	// swap; the history window is sized so the per-prediction feature work
-	// is realistic.
-	// Two months of hourly data; predictions carry a month-long history
-	// window, the realistic regime where the unbatched path's per-call
-	// buffer allocations are what batching amortizes away.
+	// swap, on two months of hourly data; predictions carry a month-long
+	// history window so the per-prediction feature work is realistic.
 	series := forecast.Generate(forecast.CityConfig{
 		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 31,
 	}, epoch, time.Hour, 24*56)
@@ -157,32 +135,19 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 		return nil, err
 	}
 
-	res := &ServingResult{Clients: clients, PerClient: perClient, SwapServed: true}
-	arms := []*ServingArm{
-		{Name: "batch=off", MaxBatch: 0, Elapsed: time.Duration(1<<62 - 1)},
-		{Name: "batch=32", MaxBatch: 32, Elapsed: time.Duration(1<<62 - 1)},
-	}
-	gws := make([]*serve.Gateway, len(arms))
-	for i, arm := range arms {
-		gw := serve.New(regSource{env.Reg}, serve.Options{
-			RefreshInterval: -1,
-			MaxBatch:        arm.MaxBatch,
-			BatchWorkers:    1,
-			Obs:             obs.NewRegistry(),
-		})
-		defer gw.Close()
-		// Warm load outside the timed region; both gateways cache the
-		// champion before the first promotion lands.
-		if _, err := gw.Predict(m.ID.String(), fctx); err != nil {
-			return nil, err
-		}
-		gws[i] = gw
+	res := &ServingResult{Clients: clients, PerClient: perClient, Elapsed: time.Duration(1<<62 - 1)}
+	gw := serve.New(regSource{env.Reg}, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
+	defer gw.Close()
+	// Warm load outside the timed region: the gateway caches the champion
+	// before the promotion lands.
+	if _, err := gw.Predict(m.ID.String(), fctx); err != nil {
+		return nil, err
 	}
 
-	// storm runs one timed round of the prediction load against one
-	// gateway. When swap is non-nil it is invoked from the sidelines once
-	// the storm is half done, modeling a promotion landing under fire.
-	storm := func(gw *serve.Gateway, name string, swap func() error) (time.Duration, error) {
+	// storm runs one timed round of the prediction load. When swap is
+	// non-nil it is invoked from the sidelines once the storm is half
+	// done, modeling a promotion landing under fire.
+	storm := func(swap func() error) (time.Duration, error) {
 		var (
 			wg      sync.WaitGroup
 			failed  atomic.Int64
@@ -216,57 +181,44 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 			return 0, swapErr
 		}
 		if n := failed.Load(); n != 0 {
-			return 0, fmt.Errorf("experiments: serving arm %s dropped %d predictions", name, n)
+			return 0, fmt.Errorf("experiments: serving storm dropped %d predictions", n)
 		}
 		return elapsed, nil
 	}
 
-	// Rounds are interleaved across the arms so neither benefits from
-	// running after the other warmed the heap and the pools. Round 1 takes
-	// the promotion mid-storm (PromoteInstance is idempotent, so each arm
-	// can issue it); later rounds are clean, and the fastest round is the
-	// arm's throughput — single rounds are ~60ms, well inside GC/scheduler
-	// noise.
+	// Round 1 takes the promotion mid-storm; later rounds are clean, and
+	// the fastest round is the throughput — single rounds are ~60ms, well
+	// inside GC/scheduler noise.
 	for round := 0; round < 3; round++ {
-		for i, arm := range arms {
-			gw := gws[i]
-			var swap func() error
-			if round == 0 {
-				swap = func() error {
-					if err := env.Reg.PromoteInstance(chall.ID); err != nil {
-						return err
-					}
-					gw.RefreshAll()
-					return nil
+		var swap func() error
+		if round == 0 {
+			swap = func() error {
+				if err := env.Reg.PromoteInstance(chall.ID); err != nil {
+					return err
 				}
-			}
-			runtime.GC()
-			elapsed, err := storm(gw, arm.Name, swap)
-			if err != nil {
-				return nil, err
-			}
-			if elapsed < arm.Elapsed {
-				arm.Elapsed = elapsed
+				gw.RefreshAll()
+				return nil
 			}
 		}
-	}
-	for i, arm := range arms {
-		arm.Predictions = clients * perClient
-		arm.QPS = float64(arm.Predictions) / arm.Elapsed.Seconds()
-		resp, err := gws[i].Predict(m.ID.String(), fctx)
+		runtime.GC()
+		elapsed, err := storm(swap)
 		if err != nil {
 			return nil, err
 		}
-		if resp.InstanceID != chall.ID.String() {
-			res.SwapServed = false
-		}
-		// Single-client measurement round: per-request latency quantiles
-		// and allocations per prediction (the machine-independent number
-		// the perf baseline gates on).
-		if arm.P50, arm.P99, arm.AllocsPerOp, err = measurePredict(gws[i], m.ID.String(), fctx, 1000); err != nil {
-			return nil, err
-		}
-		res.Arms = append(res.Arms, *arm)
+		res.Elapsed = min(res.Elapsed, elapsed)
+	}
+	res.Predictions = clients * perClient
+	res.QPS = float64(res.Predictions) / res.Elapsed.Seconds()
+	resp, err := gw.Predict(m.ID.String(), fctx)
+	if err != nil {
+		return nil, err
+	}
+	res.SwapServed = resp.InstanceID == chall.ID.String()
+	// Single-client measurement round: per-request latency quantiles and
+	// allocations per prediction (the machine-independent number the perf
+	// baseline gates on).
+	if res.P50, res.P99, res.AllocsPerOp, err = measurePredict(gw, m.ID.String(), fctx, 1000); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -301,23 +253,18 @@ func measurePredict(gw *serve.Gateway, modelID string, fctx forecast.Context, n 
 // BenchMetrics emits the experiment's BENCH_serving.json metrics.
 // Allocation counts per prediction are machine-independent and gate the
 // baseline; throughput and latency are hardware-bound trajectory info.
+// The batch_off_ prefix predates the removal of micro-batching and is
+// kept so baselines keep comparing like with like.
 func (r *ServingResult) BenchMetrics() []benchfmt.Metric {
-	var ms []benchfmt.Metric
-	for _, a := range r.Arms {
-		prefix := strings.ReplaceAll(a.Name, "=", "_")
-		ms = append(ms,
-			benchfmt.Metric{Name: prefix + "_qps", Unit: "ops/s", Value: a.QPS, Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_p50_seconds", Unit: "s", Value: a.P50.Seconds(), Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_p99_seconds", Unit: "s", Value: a.P99.Seconds(), Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_allocs_per_op", Unit: "allocs/op", Value: a.AllocsPerOp, Better: benchfmt.LowerIsBetter, Tol: 0.5},
-		)
-	}
 	swap := 0.0
 	if r.SwapServed {
 		swap = 1
 	}
-	return append(ms,
-		benchfmt.Metric{Name: "batched_speedup", Unit: "x", Value: r.Speedup(), Better: benchfmt.Info},
-		benchfmt.Metric{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	)
+	return []benchfmt.Metric{
+		{Name: "batch_off_qps", Unit: "ops/s", Value: r.QPS, Better: benchfmt.Info},
+		{Name: "batch_off_p50_seconds", Unit: "s", Value: r.P50.Seconds(), Better: benchfmt.Info},
+		{Name: "batch_off_p99_seconds", Unit: "s", Value: r.P99.Seconds(), Better: benchfmt.Info},
+		{Name: "batch_off_allocs_per_op", Unit: "allocs/op", Value: r.AllocsPerOp, Better: benchfmt.LowerIsBetter, Tol: 0.5},
+		{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01},
+	}
 }

@@ -198,9 +198,9 @@ func (m *LinearAR) horizon() int {
 func (m *LinearAR) span() int { return m.horizon() + m.Lags - 1 }
 
 // features builds the regression row for predicting index i of values,
-// appending into dst (pass nil for a fresh row; batch prediction passes a
-// reused scratch buffer). refEvent is the event flag of the reference
-// observation values[i-h].
+// appending into dst (pass nil for a fresh row; Forecast passes a stack
+// buffer). It reads only values[i-h-Lags+1 .. i-h]. refEvent is the event
+// flag of the reference observation values[i-h].
 func (m *LinearAR) features(dst []float64, values []float64, t time.Time, event, refEvent bool, i int) []float64 {
 	row := dst[:0]
 	if cap(row) < m.Lags+8 {
@@ -263,45 +263,26 @@ func (m *LinearAR) Train(data Series) error {
 	return nil
 }
 
+// maxStackRow sizes Forecast's on-stack feature row: learners with up to
+// maxStackRow-8 lags predict without allocating.
+const maxStackRow = 64
+
 // Forecast applies the learned coefficients to the current context. The
 // prediction target sits Horizon steps past the end of History.
 func (m *LinearAR) Forecast(ctx Context) float64 {
-	return m.forecastScratch(ctx, nil)
-}
-
-// forecastScratch is Forecast with caller-owned scratch buffers; batch
-// prediction reuses them across items (see batch.go).
-func (m *LinearAR) forecastScratch(ctx Context, sc *arScratch) float64 {
-	if len(m.Theta) == 0 || len(ctx.History) < m.span() {
+	n := len(ctx.History)
+	if len(m.Theta) == 0 || n < m.span() {
 		// Degenerate fallback: last value (random-walk forecast).
-		if len(ctx.History) == 0 {
+		if n == 0 {
 			return 0
 		}
-		return ctx.History[len(ctx.History)-1]
+		return ctx.History[n-1]
 	}
-	// Build the feature row as if history were the value array, padded so
-	// the predicted element sits Horizon steps past the last observation;
-	// the reference observation is then exactly History's tail.
-	h := m.horizon()
-	var values, rowBuf []float64
-	if sc != nil {
-		values, rowBuf = sc.values[:0], sc.row
-	}
-	if cap(values) < len(ctx.History)+h {
-		// Size for history plus padding in one shot; appending history
-		// first and padding after would grow (and copy) twice.
-		values = make([]float64, 0, len(ctx.History)+h)
-	}
-	values = append(values, ctx.History...)
-	for k := 0; k < h; k++ {
-		values = append(values, 0)
-	}
-	i := len(values) - 1
-	refEvent := ctx.eventAt(len(ctx.History) - 1)
-	row := m.features(rowBuf, values, ctx.Time, ctx.Event, refEvent, i)
-	if sc != nil {
-		sc.values, sc.row = values, row
-	}
+	// The target index n-1+h lies past History, but features only reads
+	// indices ≤ i-h = n-1, so History serves as the value array directly;
+	// the reference observation is its tail.
+	var buf [maxStackRow]float64
+	row := m.features(buf[:0], ctx.History, ctx.Time, ctx.Event, ctx.eventAt(n-1), n-1+m.horizon())
 	var v float64
 	for j, x := range row {
 		v += m.Theta[j] * x

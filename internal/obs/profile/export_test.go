@@ -1,11 +1,7 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -49,59 +45,6 @@ func TestFleetProcessBound(t *testing.T) {
 	}
 	if len(f.Snapshot(0, 5, time.Now()).Processes) != maxFleetProcesses {
 		t.Fatal("process bound not enforced")
-	}
-}
-
-func TestHTTPExporter(t *testing.T) {
-	var mu sync.Mutex
-	var got []IngestRequest
-	var auth []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var ir IngestRequest
-		if err := json.NewDecoder(r.Body).Decode(&ir); err != nil {
-			t.Errorf("decode: %v", err)
-		}
-		mu.Lock()
-		got = append(got, ir)
-		auth = append(auth, r.Header.Get("Authorization"))
-		mu.Unlock()
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer srv.Close()
-
-	e := NewHTTPExporter(srv.URL, "sekrit", nil)
-	defer e.Close()
-	e.Export("galleryserve", []Summary{mkSummary(KindCPU, time.Now(), 42,
-		FuncStat{Name: "f", Self: 42, Cum: 42})})
-	e.Flush()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Process != "galleryserve" || len(got[0].Summaries) != 1 {
-		t.Fatalf("received %+v", got)
-	}
-	if got[0].Summaries[0].Total != 42 {
-		t.Fatalf("summary = %+v", got[0].Summaries[0])
-	}
-	if auth[0] != "Bearer sekrit" {
-		t.Fatalf("auth header = %q", auth[0])
-	}
-	if e.Dropped() != 0 || e.Failed() != 0 {
-		t.Fatalf("dropped=%d failed=%d", e.Dropped(), e.Failed())
-	}
-}
-
-func TestHTTPExporterFailureCounted(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusForbidden)
-	}))
-	defer srv.Close()
-	e := NewHTTPExporter(srv.URL, "", nil)
-	defer e.Close()
-	e.Export("p", []Summary{mkSummary(KindCPU, time.Now(), 1)})
-	e.Flush()
-	if e.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1", e.Failed())
 	}
 }
 

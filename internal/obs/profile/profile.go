@@ -9,7 +9,7 @@
 // and retains a ring of summaries per kind.
 //
 // The summaries are fleet-aware: a gateway ships its ring to galleryd
-// (HTTPExporter, the trace-export pattern) where a Fleet store serves the
+// (HTTPExporter, over the shared obs.Shipper) where a Fleet store serves the
 // merged per-process view at GET /v1/debug/profile. A Detector compares
 // each fresh CPU window against a checked-in per-process baseline
 // (PROFILE_<process>.json) and raises profile.regression events into the

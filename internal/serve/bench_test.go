@@ -19,8 +19,8 @@ func (nopSink) ReportHealthObservations(context.Context, api.HealthObservationsR
 }
 
 // benchGateway serves one trained LinearAR with a month-long history
-// window — the regime where per-call buffer reuse matters.
-func benchGateway(b *testing.B, maxBatch int, health bool) (*Gateway, string, forecast.Context) {
+// window, so the per-prediction feature work is realistic.
+func benchGateway(b *testing.B, health bool) (*Gateway, string, forecast.Context) {
 	b.Helper()
 	series := forecast.Generate(forecast.CityConfig{
 		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 7,
@@ -31,12 +31,7 @@ func benchGateway(b *testing.B, maxBatch int, health bool) (*Gateway, string, fo
 	}
 	src := newFakeSource()
 	src.promote(b, "m1", 0, m)
-	opts := Options{
-		RefreshInterval: -1,
-		MaxBatch:        maxBatch,
-		BatchWorkers:    1,
-		Obs:             obs.NewRegistry(),
-	}
+	opts := Options{RefreshInterval: -1, Obs: obs.NewRegistry()}
 	if health {
 		opts.HealthSink = nopSink{}
 		opts.HealthInterval = -1 // record on the hot path, no flush loop
@@ -53,11 +48,11 @@ func benchGateway(b *testing.B, maxBatch int, health bool) (*Gateway, string, fo
 	return g, "m1", fctx
 }
 
-func benchPredict(b *testing.B, maxBatch int, health bool) {
-	g, id, fctx := benchGateway(b, maxBatch, health)
+func benchPredict(b *testing.B, health bool) {
+	g, id, fctx := benchGateway(b, health)
 	b.ReportAllocs()
-	// Several client goroutines per core: batches only form when requests
-	// actually overlap, which is the serving regime being measured.
+	// Several client goroutines per core: overlapping requests are the
+	// serving regime being measured.
 	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -69,15 +64,12 @@ func benchPredict(b *testing.B, maxBatch int, health bool) {
 	})
 }
 
-// BenchmarkServingGateway is the batching on/off ablation under
-// concurrent load (run with -cpu to vary client parallelism), plus the
-// health-recording on/off arms: recording must cost a few atomics, not
-// allocations.
+// BenchmarkServingGateway measures the predict path under concurrent
+// load (run with -cpu to vary client parallelism), with health recording
+// off and on: recording must cost a few atomics, not allocations.
 func BenchmarkServingGateway(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchPredict(b, 0, false) })
-	b.Run("batch=32", func(b *testing.B) { benchPredict(b, 32, false) })
-	b.Run("unbatched/health", func(b *testing.B) { benchPredict(b, 0, true) })
-	b.Run("batch=32/health", func(b *testing.B) { benchPredict(b, 32, true) })
+	b.Run("unbatched", func(b *testing.B) { benchPredict(b, false) })
+	b.Run("unbatched/health", func(b *testing.B) { benchPredict(b, true) })
 }
 
 // TestPredictAllocsWithHealthRecording pins the acceptance bound: health

@@ -87,7 +87,7 @@ func TestEndToEndDeployLoop(t *testing.T) {
 	}
 
 	// The gateway serves the baseline.
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, MaxBatch: 4, Obs: obs.NewRegistry()})
+	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
 	t.Cleanup(gw.Close)
 	gwTS := httptest.NewServer(serve.NewHandler(gw))
 	t.Cleanup(gwTS.Close)

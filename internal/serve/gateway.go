@@ -12,7 +12,6 @@
 //     and atomically swaps the served learner, so the §4.2 dynamic-
 //     switching win (a rule promotes a better instance) reaches traffic
 //     within one refresh interval with zero dropped requests;
-//   - optional micro-batching of concurrent predictions per model; and
 //   - graceful degradation — when galleryd is unreachable the gateway
 //     keeps answering from the last-known-good instance and flags the
 //     responses stale.
@@ -72,23 +71,13 @@ type Options struct {
 	// Zero uses the default; negative disables the loop (tests drive
 	// RefreshAll directly).
 	RefreshInterval time.Duration
-	// MaxBatch enables micro-batching when > 1: concurrent predictions on
-	// one model are grouped and answered by a single vectorized pass.
-	MaxBatch int
-	// BatchWait is how long a partially filled batch lingers for more
-	// requests. Zero means drain-only batching: a batch is whatever is
-	// already queued when an executor becomes free, adding no latency.
-	BatchWait time.Duration
-	// BatchWorkers is the number of executor goroutines per model
-	// (default 4), so batching adds parallelism rather than serializing.
-	BatchWorkers int
 	// Loader resolves learner kinds (default forecast.DefaultLoader).
 	Loader *forecast.Loader
 	// Obs receives gateway metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// Tracer, when set, lets background gateway work (hot-swap refreshes,
-	// batch drains) start traces of its own, subject to its sampler.
-	// Request traces do not need it — they ride the caller's context.
+	// Tracer, when set, lets hot-swap refreshes start traces of their
+	// own, subject to its sampler. Request traces do not need it — they
+	// ride the caller's context.
 	Tracer *trace.Tracer
 	// Name identifies this gateway in flushed health observations
 	// (default "gateway").
@@ -131,7 +120,6 @@ type entry struct {
 	cur   atomic.Pointer[served]
 	stale atomic.Bool
 	swaps atomic.Int64
-	batch *batcher // nil when batching is off; set before ready closes
 
 	// lastOK is the unix-nano time of the last successful load or
 	// refresh, feeding the per-model refresh-age gauge.
@@ -173,15 +161,11 @@ type gatewayMetrics struct {
 	predictErrs     *obs.Counter
 	stale           *obs.Counter
 	latency         *obs.Histogram
-	batchSize       *obs.Histogram
 	loadedModels    *obs.Gauge
 	healthFlushes   *obs.Counter
 	healthFlushErrs *obs.Counter
 	auditErrs       *obs.Counter
 }
-
-// batchSizeBuckets covers batch sizes 1..256.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // New builds a Gateway and starts its refresh loop (unless disabled).
 func New(src Source, opts Options) *Gateway {
@@ -190,9 +174,6 @@ func New(src Source, opts Options) *Gateway {
 	}
 	if opts.RefreshInterval == 0 {
 		opts.RefreshInterval = 5 * time.Second
-	}
-	if opts.BatchWorkers <= 0 {
-		opts.BatchWorkers = 4
 	}
 	if opts.Loader == nil {
 		opts.Loader = forecast.DefaultLoader
@@ -229,7 +210,6 @@ func New(src Source, opts Options) *Gateway {
 			predictErrs:     opts.Obs.Counter("serve_prediction_errors_total"),
 			stale:           opts.Obs.Counter("serve_stale_predictions_total"),
 			latency:         opts.Obs.Histogram("serve_predict_seconds", obs.LatencyBuckets),
-			batchSize:       opts.Obs.Histogram("serve_batch_size", batchSizeBuckets),
 			loadedModels:    opts.Obs.Gauge("serve_loaded_models"),
 			healthFlushes:   opts.Obs.Counter("serve_health_flushes_total"),
 			healthFlushErrs: opts.Obs.Counter("serve_health_flush_errors_total"),
@@ -247,8 +227,8 @@ func New(src Source, opts Options) *Gateway {
 	return g
 }
 
-// Close stops the refresh loop and the batch executors. In-flight
-// predictions finish; later ones fail with ErrClosed.
+// Close stops the refresh and health loops. In-flight predictions
+// finish; later ones fail with ErrClosed.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() { close(g.done) })
 	g.wg.Wait()
@@ -280,21 +260,8 @@ func (g *Gateway) PredictCtx(ctx context.Context, modelID string, fctx forecast.
 		span.EndErr(err)
 		return api.PredictResponse{}, err
 	}
-	var (
-		value float64
-		srv   *served
-	)
-	if e.batch != nil {
-		value, srv, err = e.batch.predict(fctx)
-		if err != nil {
-			g.mx.predictErrs.Inc()
-			span.EndErr(err)
-			return api.PredictResponse{}, err
-		}
-	} else {
-		srv = e.cur.Load()
-		value = srv.learner.Forecast(fctx)
-	}
+	srv := e.cur.Load()
+	value := srv.learner.Forecast(fctx)
 	stale := e.stale.Load()
 	g.mx.predicts.Inc()
 	if stale {
@@ -367,13 +334,10 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 	for _, old := range evicted {
 		g.mx.evictions.Inc()
 		// An entry can be evicted while its initial load is still in
-		// flight; batch is only settled once ready closes, so tear it down
-		// from a goroutine that waits for that instead of racing the loader.
+		// flight, so its gauge is dropped from a goroutine that waits for
+		// the load to resolve instead of blocking this request on it.
 		go func(old *entry) {
 			<-old.ready
-			if old.batch != nil {
-				old.batch.stop()
-			}
 			// Drop the evicted model's refresh-age gauge unless the model
 			// was re-admitted in the meantime (the new slot re-registers
 			// its own closure; a lost race here only leaves a gauge
@@ -405,9 +369,6 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 		return nil, "miss", err
 	}
 	e.cur.Store(srv)
-	if g.opts.MaxBatch > 1 {
-		e.batch = newBatcher(e, g)
-	}
 	e.lastOK.Store(time.Now().UnixNano())
 	close(e.ready)
 	g.mx.loads.Inc()

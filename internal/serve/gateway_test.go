@@ -295,31 +295,6 @@ func TestStaleDegradation(t *testing.T) {
 	}
 }
 
-func TestBatchingCorrectness(t *testing.T) {
-	src := newFakeSource()
-	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
-	g := newTestGateway(t, src, Options{MaxBatch: 8, BatchWorkers: 2})
-
-	const n = 64
-	var wg sync.WaitGroup
-	var bad atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			want := float64(i)
-			resp, err := g.Predict("m1", forecast.Context{History: []float64{want}})
-			if err != nil || resp.Value != want {
-				bad.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if bad.Load() != 0 {
-		t.Fatalf("%d of %d batched predictions wrong", bad.Load(), n)
-	}
-}
-
 func TestPredictAfterClose(t *testing.T) {
 	src := newFakeSource()
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})

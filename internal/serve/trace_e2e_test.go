@@ -16,6 +16,7 @@ import (
 	"gallery/internal/relstore"
 	"gallery/internal/serve"
 	"gallery/internal/server"
+	"gallery/internal/tenant"
 	"gallery/internal/uuid"
 )
 
@@ -46,7 +47,15 @@ func flattenSpans(roots []*trace.Node) map[string]trace.SpanData {
 // The gateway's spans reach the registry via the HTTP exporter posting to
 // the registry's ingest endpoint — exactly the production wiring of
 // cmd/galleryserve.
-func TestCrossProcessTrace(t *testing.T) {
+func TestCrossProcessTrace(t *testing.T) { crossProcessTrace(t, false) }
+
+// TestCrossProcessTraceUnderAuth runs the same flow with galleryd enforcing
+// a tenant control plane. POST /v1/debug/traces is publisher-class, so the
+// gateway's exporter must present its publisher token like every other
+// call it makes to galleryd: the merged trace lands and no export fails.
+func TestCrossProcessTraceUnderAuth(t *testing.T) { crossProcessTrace(t, true) }
+
+func crossProcessTrace(t *testing.T, auth bool) {
 	// Registry tier: sampler Never, so every galleryd span in the final
 	// trace exists only because the gateway's traceparent forced it.
 	gdTracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Never()})
@@ -58,11 +67,25 @@ func TestCrossProcessTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWith(reg, nil, nil, server.Options{Obs: obs.NewRegistry(), Tracer: gdTracer})
+	srvOpts := server.Options{Obs: obs.NewRegistry(), Tracer: gdTracer}
+	var token string
+	if auth {
+		tm, err := tenant.Open(relstore.NewMemory(), tenant.Options{
+			Clock: clk, UUIDs: uuid.NewSeeded(22), Obs: srvOpts.Obs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if token, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "gateway", tenant.RolePublisher); err != nil {
+			t.Fatal(err)
+		}
+		srvOpts.Tenants = tm
+	}
+	srv := server.NewWith(reg, nil, nil, srvOpts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
+	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: token})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
 		BaseVersionID: "bv-demand",
@@ -83,7 +106,7 @@ func TestCrossProcessTrace(t *testing.T) {
 	}
 
 	// Serving tier: always-sample, exporting kept traces to the registry.
-	exporter := trace.NewHTTPExporter(ts.URL+"/v1/debug/traces", ts.Client())
+	exporter := trace.NewHTTPExporter(ts.URL+"/v1/debug/traces", token, ts.Client())
 	t.Cleanup(exporter.Close)
 	gwTracer := trace.New(trace.Options{
 		Service:  "galleryserve",
@@ -213,6 +236,9 @@ func TestCrossProcessTrace(t *testing.T) {
 	raw, err := c.DebugTrace(tid)
 	if err != nil || len(raw) == 0 {
 		t.Fatalf("DebugTrace(%s): err=%v len=%d", tid, err, len(raw))
+	}
+	if exporter.Failed() != 0 || exporter.Dropped() != 0 {
+		t.Fatalf("trace export failed=%d dropped=%d, want 0", exporter.Failed(), exporter.Dropped())
 	}
 }
 
