@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"log/slog"
 	"math"
@@ -20,7 +21,7 @@ import (
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/core"
-	"gallery/internal/dal"
+	"gallery/internal/daemon"
 	"gallery/internal/forecast"
 	"gallery/internal/incident"
 	"gallery/internal/obs"
@@ -46,9 +47,9 @@ import (
 //  2. Cross-process capture — the bundle carries non-empty metric, trace
 //     and log sections from BOTH daemons (the gateway's half pulled over
 //     real HTTP via GET /v1/debug/bundle) plus the SLO verdicts.
-//  3. Durability — after the daemon "restarts" (stores closed and
-//     reopened from the WAL and blob dir), the bundle is still listable
-//     and fetchable with its sections intact.
+//  3. Durability — after the daemon restarts (stores closed, galleryd
+//     rebuilt over the same data dir by the composition root), the bundle
+//     is still listable and fetchable with its sections intact.
 //  4. Cost — the predict hot path measures the same allocs/op with the
 //     recorder armed as without it: an idle recorder is free.
 type IncidentCaptureResult struct {
@@ -218,7 +219,7 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 		serve.WithAuthorizer(tm),
 		serve.WithTracer(gwTracer),
 		serve.WithLogRing(gwRing),
-		serve.WithAccessLog(slog.New(obslog.NewHandler(gwRing, slog.LevelInfo, nil))),
+		serve.WithAccessLog(obslog.NewLogger(gwRing, slog.LevelInfo, nil)),
 	)
 	gwTS := httptest.NewServer(hObs)
 	defer gwTS.Close()
@@ -252,7 +253,7 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 	dObs := obs.NewRegistry()
 	dRing := obslog.NewRing(256)
 	dTracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always(), Capacity: 128})
-	dLog := slog.New(obslog.NewHandler(dRing, slog.LevelInfo, nil))
+	dLog := obslog.NewLogger(dRing, slog.LevelInfo, nil)
 	rec, err := incident.Open(reg.DAL(), incident.Config{
 		Obs:          dObs,
 		Tracer:       dTracer,
@@ -411,33 +412,27 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 		return nil, err
 	}
 
-	// --- phase C: "restart" — reopen the stores, replay the WAL ---
+	// --- phase C: restart — galleryd's composition root reopens the data
+	// dir (meta.wal + blobs/) and replays the WAL ---
 	if err := meta.Close(); err != nil {
 		return nil, err
 	}
-	meta2, err := relstore.Open(walPath, wal.Options{})
+	cfg := daemon.RegistryFlags(flag.NewFlagSet("galleryd", flag.ContinueOnError))
+	cfg.Data, cfg.DumpMetrics, cfg.Obs = dir, false, obs.NewRegistry()
+	cfg.HealthInterval, cfg.SLOInterval, cfg.ProfileInterval = -1, -1, -1
+	gd, err := daemon.Registry(*cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer meta2.Close()
-	blobs2, err := blobstore.NewDisk(blobDir, blobstore.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rec2, err := incident.Open(dal.New(meta2, blobs2, dal.Options{Obs: obs.NewRegistry()}), incident.Config{
-		Obs: obs.NewRegistry(), Clock: clk, UUIDs: uuid.NewSeeded(75),
-	})
-	if err != nil {
-		return nil, err
-	}
-	incs2, err := rec2.List("victim")
+	defer gd.Close()
+	incs2, err := gd.Recorder.List("victim")
 	if err != nil {
 		return nil, err
 	}
 	if len(incs2) != 1 || incs2[0].ID != incs[0].ID {
 		return nil, fmt.Errorf("incidentcapture: post-restart List(victim) = %+v, want the captured bundle", incs2)
 	}
-	inc2, bundle2, err := rec2.Get(ctx, incs[0].ID)
+	inc2, bundle2, err := gd.Recorder.Get(ctx, incs[0].ID)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ package obslog
 
 import (
 	"context"
+	"io"
 	"log/slog"
 	"strings"
 	"sync"
@@ -153,6 +154,17 @@ func NewHandler(ring *Ring, level slog.Leveler, next slog.Handler) *Handler {
 		level = slog.LevelInfo
 	}
 	return &Handler{ring: ring, level: level, next: next}
+}
+
+// NewLogger is the one log pipeline both daemons run: records at or above
+// level land in ring (served at /v1/debug/logs) and, when tee is non-nil,
+// are also written to it as JSON lines.
+func NewLogger(ring *Ring, level slog.Level, tee io.Writer) *slog.Logger {
+	var next slog.Handler
+	if tee != nil {
+		next = slog.NewJSONHandler(tee, nil)
+	}
+	return slog.New(NewHandler(ring, level, next))
 }
 
 // Ring exposes the handler's buffer for the /v1/debug/logs endpoint.

@@ -2,9 +2,10 @@ package profile
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,28 +100,24 @@ func (f *Fleet) Ring(process string) *Ring {
 	return f.rings[process]
 }
 
-// Snapshot folds the fleet into a View. merge > 0 restricts each
-// process's fold to summaries ending within the last merge of now.
+// Snapshot folds the fleet into a View, processes in name order. merge
+// > 0 restricts each process's fold to summaries ending within the last
+// merge of now.
 func (f *Fleet) Snapshot(merge time.Duration, topN int, now time.Time) View {
 	f.mu.Lock()
-	names := make([]string, 0, len(f.rings))
-	rings := make([]*Ring, 0, len(f.rings))
-	for name, r := range f.rings {
-		names = append(names, name)
-		rings = append(rings, r)
-	}
+	rings := maps.Clone(f.rings)
 	f.mu.Unlock()
+	v := newView(merge, now)
+	for _, name := range slices.Sorted(maps.Keys(rings)) {
+		v.Processes = append(v.Processes, rings[name].View(name, merge, topN, now))
+	}
+	return v
+}
+
+func newView(merge time.Duration, now time.Time) View {
 	v := View{Generated: now}
 	if merge > 0 {
 		v.Merge = merge.String()
-	}
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return names[order[i]] < names[order[j]] })
-	for _, i := range order {
-		v.Processes = append(v.Processes, rings[i].View(names[i], merge, topN, now))
 	}
 	return v
 }

@@ -179,6 +179,14 @@ func (p *Profiler) Process() string { return p.cfg.Process }
 // incident recorder's view of this profiler.
 func (p *Profiler) Ring() *Ring { return p.ring }
 
+// View renders this process's ring in the fleet view's shape (see
+// Fleet.Snapshot).
+func (p *Profiler) View(merge time.Duration, topN int, now time.Time) View {
+	v := newView(merge, now)
+	v.Processes = []ProcessView{p.ring.View(p.cfg.Process, merge, topN, now)}
+	return v
+}
+
 // Start launches the background capture loop. The first cycle begins
 // immediately so a fresh daemon has data within one window.
 func (p *Profiler) Start() {

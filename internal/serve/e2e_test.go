@@ -2,24 +2,14 @@ package serve_test
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/blobstore"
 	"gallery/internal/client"
-	"gallery/internal/clock"
-	"gallery/internal/core"
+	"gallery/internal/daemon"
 	"gallery/internal/forecast"
-	"gallery/internal/obs"
-	"gallery/internal/relstore"
-	"gallery/internal/rules"
-	"gallery/internal/serve"
-	"gallery/internal/server"
-	"gallery/internal/uuid"
 )
 
 // TestEndToEndDeployLoop drives the full closed loop of the paper's §4.2
@@ -30,23 +20,11 @@ import (
 //	served by the new instance
 //
 // with predictions hammering the gateway the whole time and zero failures.
+// Both daemons come out of the composition root, so the "deploy" action is
+// the one galleryd registers.
 func TestEndToEndDeployLoop(t *testing.T) {
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk,
-		UUIDs: uuid.NewSeeded(7),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo := rules.NewRepo(clk)
-	eng := rules.NewEngine(reg, repo, clk)
-	eng.RegisterAction("deploy", rules.DeployAction(reg))
-	srv := server.NewWith(reg, repo, eng, server.Options{Obs: obs.NewRegistry()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
+	gd, gdURL := startRegistry(t, nil)
+	c := client.New(gdURL, nil)
 
 	// Model with two instances: a baseline Heuristic{K:1} (answers the
 	// last observed value) and a challenger Heuristic{K:2} (mean of the
@@ -86,12 +64,10 @@ func TestEndToEndDeployLoop(t *testing.T) {
 		t.Fatalf("production = %+v (err %v), want baseline %s", v, err, instA.ID)
 	}
 
-	// The gateway serves the baseline.
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	// The gateway serves the baseline. Its refresh loop is off so that only
+	// the explicit RefreshAll below can observe the promotion.
+	gs, gsURL := startGateway(t, gdURL, func(c *daemon.GatewayConfig) { c.Refresh = -1 })
+	gc := client.New(gsURL, nil)
 
 	hist := []float64{10, 20}
 	resp, err := gc.Predict(m.ID, api.PredictRequest{History: hist})
@@ -146,7 +122,7 @@ func TestEndToEndDeployLoop(t *testing.T) {
 	if _, err := c.InsertMetric(instB.ID, "mape", "validation", 0.05); err != nil {
 		t.Fatal(err)
 	}
-	srv.Flush() // drain the engine's async dispatch
+	gd.Server.Flush() // drain the engine's async dispatch
 
 	// The rule must have promoted the challenger in core...
 	v, err := c.ProductionVersion(m.ID)
@@ -158,7 +134,7 @@ func TestEndToEndDeployLoop(t *testing.T) {
 	}
 
 	// ...and the gateway's next refresh serves it, mid-traffic.
-	gw.RefreshAll()
+	gs.Gateway.RefreshAll()
 	resp, err = gc.Predict(m.ID, api.PredictRequest{History: hist})
 	if err != nil {
 		t.Fatal(err)
@@ -194,27 +170,12 @@ func TestEndToEndDeployLoop(t *testing.T) {
 
 // TestGatewayHTTPErrors covers the handler's error mapping.
 func TestGatewayHTTPErrors(t *testing.T) {
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk, UUIDs: uuid.NewSeeded(8),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewWith(reg, nil, nil, server.Options{Obs: obs.NewRegistry()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
-
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	_, gdURL := startRegistry(t, nil)
+	_, gsURL := startGateway(t, gdURL, nil)
+	gc := client.New(gsURL, nil)
 
 	// Unknown model: Gallery's 404 passes through the gateway.
-	_, err = gc.Predict("1b4e28ba-2fa1-11d2-883f-0016d3cca427", api.PredictRequest{History: []float64{1}})
+	_, err := gc.Predict("1b4e28ba-2fa1-11d2-883f-0016d3cca427", api.PredictRequest{History: []float64{1}})
 	if ae, ok := err.(*client.APIError); !ok || ae.Status != 404 {
 		t.Fatalf("unknown model err = %v, want 404", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"gallery/internal/api"
+	"gallery/internal/obs/httpmw"
 )
 
 // The /v1/predict hot path encodes one small fixed-shape response per
@@ -31,7 +32,7 @@ var predictBufPool = sync.Pool{
 // fall back to the generic writer.
 func writePredictResponse(w http.ResponseWriter, resp api.PredictResponse) {
 	if math.IsNaN(resp.Value) || math.IsInf(resp.Value, 0) {
-		writeServeJSON(w, http.StatusOK, resp)
+		httpmw.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	bp := predictBufPool.Get().(*[]byte)

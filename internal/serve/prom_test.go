@@ -10,35 +10,19 @@ import (
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
 	"gallery/internal/obs/httpmw"
-	"gallery/internal/obs/profile"
-	"gallery/internal/obs/trace"
 )
 
 // TestGatewayPromExposition drives real predictions through the serving
 // daemon's HTTP front and validates the Prometheus scrape: correct
-// content type, byte-valid 0.0.4 text format, the per-tenant/per-model
-// RED series, and the telemetry shippers' route-labelled self-metrics.
+// content type, byte-valid 0.0.4 text format, and the per-tenant/per-model
+// RED series. The shippers' self-metrics are pinned on the production
+// wiring by TestGatewayShipperExposition.
 func TestGatewayPromExposition(t *testing.T) {
 	src := newFakeSource()
 	src.promote(t, "demand", 0, &forecast.Heuristic{K: 2})
 	gw := newTestGateway(t, src, Options{})
 	ts := httptest.NewServer(NewHandler(gw))
 	t.Cleanup(ts.Close)
-
-	// Both shippers wired as cmd/galleryserve does, against a registry
-	// that refuses everything; one trace export fails.
-	refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no token", http.StatusUnauthorized)
-	}))
-	t.Cleanup(refuse.Close)
-	traceExp := trace.NewHTTPExporter(refuse.URL+"/v1/debug/traces", "", refuse.Client())
-	t.Cleanup(traceExp.Close)
-	traceExp.Expose(gw.obs)
-	profExp := profile.NewHTTPExporter(refuse.URL+"/v1/debug/profile", "", refuse.Client())
-	t.Cleanup(profExp.Close)
-	profExp.Expose(gw.obs)
-	traceExp.Export([]trace.SpanData{{Name: "x"}})
-	traceExp.Flush()
 
 	// One success and one failure (unknown model → upstream lookup
 	// error) so both the request and error counters have series.
@@ -81,10 +65,6 @@ func TestGatewayPromExposition(t *testing.T) {
 		`serve_predict_errors_total{namespace="default",model="ghost"} 1`,
 		"# TYPE serve_predict_seconds histogram",
 		`tenant_http_requests_total{namespace="default"} 2`,
-		`telemetry_ship_failed_total{route="/v1/debug/traces"} 1`,
-		`telemetry_ship_dropped_total{route="/v1/debug/traces"} 0`,
-		`telemetry_ship_failed_total{route="/v1/debug/profile"} 0`,
-		`telemetry_ship_dropped_total{route="/v1/debug/profile"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)

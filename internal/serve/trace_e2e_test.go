@@ -1,23 +1,20 @@
 package serve_test
 
 import (
+	"flag"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/blobstore"
 	"gallery/internal/client"
-	"gallery/internal/clock"
-	"gallery/internal/core"
+	"gallery/internal/daemon"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
 	"gallery/internal/obs/trace"
-	"gallery/internal/relstore"
-	"gallery/internal/serve"
-	"gallery/internal/server"
 	"gallery/internal/tenant"
-	"gallery/internal/uuid"
 )
 
 // flattenSpans walks a trace's span tree into a name-indexed map.
@@ -34,6 +31,45 @@ func flattenSpans(roots []*trace.Node) map[string]trace.SpanData {
 	return out
 }
 
+// startRegistry builds galleryd through the composition root from its
+// flag defaults (in memory, on a private metric registry, as adjusted by
+// set) and serves it on a loopback listener.
+func startRegistry(t *testing.T, set func(*daemon.RegistryConfig)) (*daemon.RegistryStack, string) {
+	t.Helper()
+	cfg := daemon.RegistryFlags(flag.NewFlagSet("galleryd", flag.PanicOnError))
+	cfg.Mem, cfg.DumpMetrics, cfg.Obs = true, false, obs.NewRegistry()
+	if set != nil {
+		set(cfg)
+	}
+	st, err := daemon.Registry(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	ts := httptest.NewServer(st.Handler)
+	t.Cleanup(ts.Close)
+	return st, ts.URL
+}
+
+// startGateway builds galleryserve in front of the galleryd at gallery
+// through the composition root, the same way.
+func startGateway(t *testing.T, gallery string, set func(*daemon.GatewayConfig)) (*daemon.GatewayStack, string) {
+	t.Helper()
+	cfg := daemon.GatewayFlags(flag.NewFlagSet("galleryserve", flag.PanicOnError))
+	cfg.Gallery, cfg.Obs = gallery, obs.NewRegistry()
+	if set != nil {
+		set(cfg)
+	}
+	st, err := daemon.Gateway(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	ts := httptest.NewServer(st.Handler)
+	t.Cleanup(ts.Close)
+	return st, ts.URL
+}
+
 // TestCrossProcessTrace drives one cache-miss prediction through the
 // serving gateway over real HTTP and checks that it produces ONE trace,
 // retrievable from the registry's /v1/debug/traces, whose spans come from
@@ -42,50 +78,32 @@ func flattenSpans(roots []*trace.Node) map[string]trace.SpanData {
 //	galleryserve: POST /v1/predict/{model} → serve.predict → serve.load
 //	              → client.request (×2: production lookup + blob fetch)
 //	galleryd:     GET routes (remote-forced by the propagated traceparent,
-//	              despite its own Never sampler) → core/dal/blobstore spans
+//	              despite its own never sampler) → core/dal/blobstore spans
 //
-// The gateway's spans reach the registry via the HTTP exporter posting to
-// the registry's ingest endpoint — exactly the production wiring of
-// cmd/galleryserve.
+// Both daemons come out of the composition root, so the gateway's spans
+// reach the registry through the trace shipper production runs.
 func TestCrossProcessTrace(t *testing.T) { crossProcessTrace(t, false) }
 
-// TestCrossProcessTraceUnderAuth runs the same flow with galleryd enforcing
-// a tenant control plane. POST /v1/debug/traces is publisher-class, so the
-// gateway's exporter must present its publisher token like every other
-// call it makes to galleryd: the merged trace lands and no export fails.
+// TestCrossProcessTraceUnderAuth runs the same flow with galleryd -auth.
+// POST /v1/debug/traces is publisher-class, so the gateway's shipper must
+// present its publisher -token like every other call it makes to
+// galleryd: the merged trace lands and no export fails.
 func TestCrossProcessTraceUnderAuth(t *testing.T) { crossProcessTrace(t, true) }
 
 func crossProcessTrace(t *testing.T, auth bool) {
-	// Registry tier: sampler Never, so every galleryd span in the final
+	// Registry tier: sampler never, so every galleryd span in the final
 	// trace exists only because the gateway's traceparent forced it.
-	gdTracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Never()})
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk,
-		UUIDs: uuid.NewSeeded(21),
+	gd, gdURL := startRegistry(t, func(c *daemon.RegistryConfig) {
+		c.TraceSample, c.Auth = "never", auth
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvOpts := server.Options{Obs: obs.NewRegistry(), Tracer: gdTracer}
 	var token string
 	if auth {
-		tm, err := tenant.Open(relstore.NewMemory(), tenant.Options{
-			Clock: clk, UUIDs: uuid.NewSeeded(22), Obs: srvOpts.Obs,
-		})
-		if err != nil {
+		var err error
+		if token, _, err = gd.Tenants.MintToken(t.Context(), tenant.DefaultNamespace, "gateway", tenant.RolePublisher); err != nil {
 			t.Fatal(err)
 		}
-		if token, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "gateway", tenant.RolePublisher); err != nil {
-			t.Fatal(err)
-		}
-		srvOpts.Tenants = tm
 	}
-	srv := server.NewWith(reg, nil, nil, srvOpts)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: token})
+	c := client.NewWith(gdURL, client.Options{Token: token})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
 		BaseVersionID: "bv-demand",
@@ -105,19 +123,12 @@ func crossProcessTrace(t *testing.T, auth bool) {
 		t.Fatal(err)
 	}
 
-	// Serving tier: always-sample, exporting kept traces to the registry.
-	exporter := trace.NewHTTPExporter(ts.URL+"/v1/debug/traces", token, ts.Client())
-	t.Cleanup(exporter.Close)
-	gwTracer := trace.New(trace.Options{
-		Service:  "galleryserve",
-		Sampler:  trace.Always(),
-		Exporter: exporter,
+	// Serving tier: always-sample, shipping kept traces to the registry.
+	gs, gsURL := startGateway(t, gdURL, func(c *daemon.GatewayConfig) {
+		c.TraceSample, c.Token = "always", token
 	})
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry(), Tracer: gwTracer})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	gwTracer, exporter := gs.Tracer, gs.TraceShipper
+	gc := client.New(gsURL, nil)
 
 	resp, err := gc.Predict(m.ID, api.PredictRequest{History: []float64{10, 20}})
 	if err != nil {
@@ -163,7 +174,7 @@ func crossProcessTrace(t *testing.T, auth bool) {
 		ok bool
 	)
 	for time.Now().Before(deadline) {
-		d, ok = gdTracer.Store().Get(tid)
+		d, ok = gd.Tracer.Store().Get(tid)
 		if ok && len(d.Summary.Services) == 2 && hasAll(flattenSpans(d.Roots), wantSpans) {
 			break
 		}
@@ -249,4 +260,37 @@ func hasAll(spans map[string]trace.SpanData, names []string) bool {
 		}
 	}
 	return true
+}
+
+// TestGatewayShipperExposition pins the telemetry shippers' self-metrics
+// on galleryserve's Prometheus scrape: both shippers, as the composition
+// root wires them, against a registry that refuses everything. One trace
+// shipment fails and is counted under its ingest route; the profiler loop
+// is off, so no profile shipment is attempted.
+func TestGatewayShipperExposition(t *testing.T) {
+	refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no token", http.StatusUnauthorized)
+	}))
+	t.Cleanup(refuse.Close)
+	gs, gsURL := startGateway(t, refuse.URL, func(c *daemon.GatewayConfig) { c.ProfileInterval = -1 })
+	gs.TraceShipper.Export([]trace.SpanData{{Name: "x"}})
+	gs.TraceShipper.Flush()
+
+	payload, err := client.New(gsURL, nil).DebugMetricsProm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateExposition(payload); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, payload)
+	}
+	for _, want := range []string{
+		`telemetry_ship_failed_total{route="/v1/debug/traces"} 1`,
+		`telemetry_ship_dropped_total{route="/v1/debug/traces"} 0`,
+		`telemetry_ship_failed_total{route="/v1/debug/profile"} 0`,
+		`telemetry_ship_dropped_total{route="/v1/debug/profile"} 0`,
+	} {
+		if !strings.Contains(string(payload), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, payload)
+		}
+	}
 }

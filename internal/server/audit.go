@@ -17,7 +17,6 @@ import (
 	"gallery/internal/audit"
 	"gallery/internal/core"
 	"gallery/internal/obs"
-	obslog "gallery/internal/obs/log"
 	"gallery/internal/relstore"
 )
 
@@ -147,53 +146,6 @@ func (s *Server) handleIngestAudit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, resp)
-}
-
-// handleDebugLogs serves the in-memory structured-log ring. Filters:
-// ?level= (debug|info|warn|error), ?since= (RFC3339 or a relative
-// duration like 5m), ?after= (sequence cursor from a previous response's
-// next_seq, for follow mode), ?limit=.
-func (s *Server) handleDebugLogs(w http.ResponseWriter, r *http.Request) {
-	serveDebugLogs(s.logs, w, r)
-}
-
-// serveDebugLogs is shared with the serving gateway's HTTP front end —
-// both processes expose the same ring contract at /v1/debug/logs.
-func serveDebugLogs(ring *obslog.Ring, w http.ResponseWriter, r *http.Request) {
-	if ring == nil {
-		writeErr(w, fmt.Errorf("%w: log ring not enabled", core.ErrNotFound))
-		return
-	}
-	qp := r.URL.Query()
-	f := obslog.Filter{MinLevel: obslog.ParseLevel(qp.Get("level"))}
-	if v := qp.Get("since"); v != "" {
-		t, err := parseAuditTime(v)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		f.Since = t
-	}
-	if v := qp.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad after cursor %q", core.ErrBadSpec, v))
-			return
-		}
-		f.AfterSeq = n
-		f.HasAfterSeq = true
-	}
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: bad limit %q", core.ErrBadSpec, v))
-			return
-		}
-		f.Limit = n
-	}
-	entries, next := ring.Entries(f)
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, api.DebugLogsResponse{Entries: entries, NextSeq: next})
 }
 
 // parseAuditTime accepts an absolute RFC3339 instant or a relative

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"gallery/internal/clock"
 	"gallery/internal/core"
 	"gallery/internal/obs"
+	obslog "gallery/internal/obs/log"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
 	"gallery/internal/uuid"
@@ -95,7 +97,7 @@ func TestAccessLogLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), AccessLog: &buf})
+	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), AccessLog: obslog.NewLogger(nil, slog.LevelInfo, &buf)})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -38,19 +38,21 @@ import (
 // inside upload requests, so the ceiling is generous.
 const DefaultMaxBodyBytes = 256 << 20
 
+// eventQueue bounds the rule-engine dispatch queue. Metric events beyond
+// the bound are dropped and counted.
+const eventQueue = 1024
+
 // Options tunes a Server.
 type Options struct {
 	// Obs receives HTTP and dispatch metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// AccessLog, when non-nil, receives one structured (JSON) log line
-	// per request.
-	AccessLog io.Writer
+	// AccessLog, when non-nil, receives one structured line per request
+	// plus the server's ad-hoc error logs (see obslog.NewLogger). nil with
+	// Logs set logs into Logs at info level.
+	AccessLog *slog.Logger
 	// MaxBodyBytes bounds JSON request bodies (default DefaultMaxBodyBytes).
 	// Oversized bodies are rejected with 413.
 	MaxBodyBytes int64
-	// EventQueue bounds the rule-engine dispatch queue (default 1024).
-	// Metric events beyond the bound are dropped and counted.
-	EventQueue int
 	// Tracer records request traces. nil builds a local tracer with the
 	// Never sampler — the debug endpoints still serve (and ingest spans
 	// shipped by tracing peers), but no local request starts a trace.
@@ -62,12 +64,8 @@ type Options struct {
 	// (POST /v1/health/observations, GET /v1/health/models[/{id}]).
 	Health *health.Monitor
 	// Logs, when non-nil, is the bounded in-memory ring served at
-	// GET /v1/debug/logs. Access-log lines and the server's ad-hoc error
-	// logs are routed through it (trace-correlated), teeing to AccessLog
-	// when that is also set.
+	// GET /v1/debug/logs.
 	Logs *obslog.Ring
-	// LogLevel gates what enters Logs (default info).
-	LogLevel slog.Level
 	// Tenants, when non-nil, turns on the multi-tenant control plane:
 	// every request must carry a bearer token, roles and per-namespace
 	// rate limits are enforced before handlers run, model/blob quotas are
@@ -150,9 +148,6 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.EventQueue <= 0 {
-		opts.EventQueue = 1024
-	}
 	if opts.Tracer == nil {
 		opts.Tracer = trace.New(trace.Options{Service: "galleryd"})
 	}
@@ -176,22 +171,12 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 		cDropped:       opts.Obs.Counter("server_engine_dispatch_dropped_total"),
 		cBlobWriteErrs: opts.Obs.Counter("server_blob_write_errors_total"),
 
-		events: make(chan metricEvent, opts.EventQueue),
+		events: make(chan metricEvent, eventQueue),
 		done:   make(chan struct{}),
 	}
-	// Log pipeline: the ring (queryable at /v1/debug/logs) in front,
-	// teeing to the AccessLog writer as plain JSON lines when set. With
-	// no ring the writer keeps its original direct handler.
-	var next slog.Handler
-	if opts.AccessLog != nil {
-		next = slog.NewJSONHandler(opts.AccessLog, nil)
-	}
-	s.logs = opts.Logs
-	switch {
-	case opts.Logs != nil:
-		s.accessLog = slog.New(obslog.NewHandler(opts.Logs, opts.LogLevel, next))
-	case next != nil:
-		s.accessLog = slog.New(next)
+	s.logs, s.accessLog = opts.Logs, opts.AccessLog
+	if s.accessLog == nil && s.logs != nil {
+		s.accessLog = obslog.NewLogger(s.logs, slog.LevelInfo, nil)
 	}
 	s.routes()
 	if opts.Pprof {
@@ -295,7 +280,7 @@ func (s *Server) Close() {
 
 // handle registers a route on the mux and records its pattern for the
 // classification-coverage test.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
+func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Request)) {
 	s.routePatterns = append(s.routePatterns, pattern)
 	s.mux.HandleFunc(pattern, h)
 }
@@ -342,11 +327,12 @@ func (s *Server) routes() {
 	s.handle("GET /v1/audit", s.handleListAudit)
 	s.handle("POST /v1/audit", s.handleIngestAudit)
 	s.handle("GET /v1/audit/entity/{id}", s.handleEntityTimeline)
-	s.handle("GET /v1/debug/logs", s.handleDebugLogs)
-	s.handle("GET /v1/debug/metrics", s.handleDebugMetrics)
-	s.handle("GET /v1/debug/metrics/prom", s.handleDebugMetricsProm)
-	s.handle("GET /v1/debug/traces", s.handleListTraces)
-	s.handle("GET /v1/debug/traces/{id}", s.handleGetTrace)
+	debug := httpmw.Debug{Obs: s.obs, Tracer: s.tracer, Logs: s.logs}
+	if s.profiles != nil {
+		debug.Profile = s.profiles.Snapshot
+		s.handle("POST /v1/debug/profile", s.handleIngestProfile)
+	}
+	debug.Register(s.handle)
 	s.handle("POST /v1/debug/traces", s.handleIngestTraces)
 
 	s.handle("POST /v1/rules", s.handleCommitRules)
@@ -362,9 +348,6 @@ func (s *Server) routes() {
 	}
 	if s.incidents != nil {
 		s.incidentRoutes()
-	}
-	if s.profiles != nil {
-		s.profileRoutes()
 	}
 }
 
@@ -1100,23 +1083,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.EngineDispatches = s.cDispatched.Value()
 	st.EngineDrops = s.cDropped.Value()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleDebugMetrics renders the full metrics registry: per-route request
-// counters and latency histograms, DAL/relstore/blobstore counters, rule
-// engine activity, and dispatch-queue health.
-func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
-	// no-store: dashboards poll this; a cached snapshot is a wrong one.
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, s.obs.Snapshot())
-}
-
-// handleDebugMetricsProm renders the same registry in Prometheus text
-// exposition format 0.0.4, for standard scrapers.
-func (s *Server) handleDebugMetricsProm(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", httpmw.PromContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	_ = s.obs.WriteProm(w)
 }
 
 // --- rules ---
